@@ -34,7 +34,6 @@ from .experiments import (
     SweepResult,
     SweepSpec,
     TruthTableRow,
-    gate_detuning_fidelity,
     gate_truth_table,
     run_gate,
     run_qst,
@@ -112,7 +111,6 @@ __all__ = [
     "fidelity",
     "frequency_from_2pi_mhz",
     "frequency_to_2pi_mhz",
-    "gate_detuning_fidelity",
     "gate_truth_table",
     "is_hermitian",
     "kron",

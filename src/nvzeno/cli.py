@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    nvzeno run --config cfg.json --out data.csv [--format csv|json] [--threads N]
+    nvzeno run --config cfg.json --out data.csv [--format csv|json]
     nvzeno sweep --experiment ratio_sweep --param omega_over_g \
                  --from 0.005 --to 0.25 --points 50 --out data.csv
     nvzeno list-experiments
@@ -10,8 +10,8 @@ Subcommands::
 
 Configs are JSON objects.  A numeric value fixes a parameter; an object
 ``{"from": a, "to": b, "points": n}`` sweeps it as a grid axis.  Unknown
-keys are rejected.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+keys, and keys (or ``dt``) the named experiment does not read, are rejected.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ _PARAMETER_KEYS = (
     "beta",
 )
 
-_CONTROL_KEYS = ("experiment", "n_nuclei", "dt", "threads", "out", "format", "deterministic")
+_CONTROL_KEYS = ("experiment", "dt", "out", "format")
 
 _POSITIVE_KEYS = {"omega_over_g", "dt"}
 _NONNEGATIVE_KEYS = {"gamma_nv_over_g", "gamma_n_over_g", "t_over_T"}
@@ -76,9 +76,7 @@ class RunConfig:
     experiment: str | None = None
     fixed: dict = field(default_factory=dict)
     axes: dict = field(default_factory=dict)
-    n_nuclei: int = 2
     dt: float | None = None
-    threads: int = 1
     out: str | None = None
     format: str = "csv"
 
@@ -135,18 +133,8 @@ def parse_config(text: str) -> RunConfig:
             if not isinstance(value, str):
                 raise ParseError("experiment: must be a string")
             config.experiment = value
-        elif key == "n_nuclei":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParseError("n_nuclei: must be an integer")
-            if not 1 <= value <= 6:
-                raise OutOfRange(f"n_nuclei: must be in [1, 6], got {value}")
-            config.n_nuclei = value
         elif key == "dt":
             config.dt = _check_range(key, value)
-        elif key == "threads":
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise OutOfRange(f"threads: must be a positive integer, got {value!r}")
-            config.threads = value
         elif key == "out":
             if not isinstance(value, str):
                 raise ParseError("out: must be a string path")
@@ -155,9 +143,6 @@ def parse_config(text: str) -> RunConfig:
             if value not in ("csv", "json"):
                 raise OutOfRange(f"format: must be 'csv' or 'json', got {value!r}")
             config.format = value
-        elif key == "deterministic":
-            if value is not True:
-                raise OutOfRange("deterministic: only 'true' is supported; every run is RNG-free")
         elif isinstance(value, dict):
             config.axes[key] = _parse_grid(key, value)
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -183,8 +168,6 @@ def run_command(config: RunConfig):
         raise UnknownExperiment("config does not name an experiment")
     if config.out is None:
         raise OutOfRange("no output path: set 'out' in the config or pass --out")
-    if config.n_nuclei != 2:
-        raise OutOfRange("named experiments are defined on the two-nucleus register")
     axes = {k: g.values() for k, g in config.axes.items()}
     fixed = dict(config.fixed)
     info = EXPERIMENTS.get(config.experiment)
@@ -198,7 +181,6 @@ def run_command(config: RunConfig):
         axes=axes or None,
         fixed=fixed,
         dt=config.dt,
-        threads=config.threads,
     )
     result = sweep(spec)
     record = record_from_sweep(result)
@@ -297,10 +279,6 @@ def _apply_cli_overrides(config: RunConfig, args) -> RunConfig:
         config.out = args.out
     if getattr(args, "format", None):
         config.format = args.format
-    if getattr(args, "threads", None):
-        if args.threads < 1:
-            raise OutOfRange(f"threads: must be a positive integer, got {args.threads}")
-        config.threads = args.threads
     return config
 
 
@@ -349,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to the JSON config")
     run_p.add_argument("--out", help="output path (overrides config)")
     run_p.add_argument("--format", choices=("csv", "json"), help="output format")
-    run_p.add_argument("--threads", type=int, help="parallel sweep points")
 
     sweep_p = sub.add_parser("sweep", help="run a named experiment with inline flags")
     sweep_p.add_argument("--experiment", required=True)
@@ -362,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--dt", type=float, help="integrator step")
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep_p.add_argument("--threads", type=int)
 
     sub.add_parser("list-experiments", help="list experiment names and descriptions")
     sub.add_parser("selftest", help="run quick internal consistency checks")

@@ -3,16 +3,16 @@
 Closed-system evolution uses the spectral propagator, so norms are preserved
 to machine precision.  Open-system evolution integrates
 
-    d rho / dt = -i [H(t), rho]
+    d rho / dt = -i [H, rho]
                  + sum_k gamma_k (s_k rho s_k^dag - {s_k^dag s_k, rho} / 2)
 
-with a classical fixed-step fourth-order (RK4) scheme on the density matrix.
-For a static generator the RK4 step of a linear equation is exactly the
-degree-4 Taylor polynomial of the one-step flow, so the stepper precomputes
-that polynomial of the vectorized generator once and applies it per step;
-time-dependent generators take the usual four-stage path.  Either way the
-state is re-symmetrized (rho <- (rho + rho^dag)/2) after every step, the
-trace is monitored, and positivity is checked at every output time.
+for a static generator H with a classical fixed-step fourth-order (RK4)
+scheme on the density matrix.  The RK4 step of a linear equation is exactly
+the degree-4 Taylor polynomial of the one-step flow, so the stepper
+precomputes that polynomial of the vectorized generator once and applies it
+per step.  The state is re-symmetrized (rho <- (rho + rho^dag)/2) after
+every step, the trace is monitored, and positivity is checked at every
+output time.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ STEP_GUARD = 0.02
 
 #: Default step: DEFAULT_STEP_SCALE / max(|H|, 1).
 DEFAULT_STEP_SCALE = 0.005
+
+#: Largest dense d^2 x d^2 Liouvillian built, in bytes.  Four nuclei (d = 48)
+#: need 85 MB per matrix; five (d = 96) would need 1.4 GB.
+MAX_LIOUVILLIAN_BYTES = 2**28
 
 
 @dataclass
@@ -147,8 +151,19 @@ def evolve_unitary(h, psi0, times) -> Trajectory:
 
 
 def _liouvillian(h: np.ndarray, channels) -> np.ndarray:
-    """Vectorized generator acting on row-major vec(rho)."""
+    """Vectorized generator acting on row-major vec(rho).
+
+    Raises:
+        DimensionMismatch: if the dense matrix would exceed
+            :data:`MAX_LIOUVILLIAN_BYTES` (checked before allocating).
+    """
     dim = h.shape[0]
+    nbytes = dim**4 * np.dtype(complex).itemsize
+    if nbytes > MAX_LIOUVILLIAN_BYTES:
+        raise DimensionMismatch(
+            f"Liouvillian of dimension {dim}**2 needs {nbytes / 2**20:.0f} MiB, "
+            f"above the guard of {MAX_LIOUVILLIAN_BYTES / 2**20:.0f} MiB"
+        )
     eye = np.eye(dim, dtype=complex)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for ch in channels:
@@ -175,16 +190,6 @@ def _rk4_transfer(lv: np.ndarray, h_step: float) -> np.ndarray:
     return eye + x @ m
 
 
-def _lindblad_rhs(rho: np.ndarray, h: np.ndarray, channels) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    for ch in channels:
-        s = ch.operator
-        s_rho = s @ rho
-        sd_s = dagger(s) @ s
-        out += ch.rate * (s_rho @ dagger(s) - 0.5 * (sd_s @ rho + rho @ sd_s))
-    return out
-
-
 def _symmetrize(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
@@ -193,8 +198,7 @@ def evolve_lindblad(h, channels, rho0, times, dt: float | None = None) -> Trajec
     """Integrate the Lindblad equation with a fixed-step RK4 scheme.
 
     Args:
-        h: static Hermitian array, or a callable ``t -> array`` for a
-            time-dependent generator (evaluated at the RK4 substep times).
+        h: static Hermitian generator.
         channels: iterable of :class:`~nvzeno.model.CollapseChannel`.
         rho0: density matrix (or pure-state vector) at ``times[0]``.
         times: strictly increasing output grid; integration starts at its
@@ -204,6 +208,8 @@ def evolve_lindblad(h, channels, rho0, times, dt: float | None = None) -> Trajec
 
     Raises:
         StepTooLarge: if ``dt`` exceeds ``0.02 / max(|H|, sum gamma)``.
+        DimensionMismatch: if the shapes disagree, or the dense Liouvillian
+            would exceed :data:`MAX_LIOUVILLIAN_BYTES`.
         PositivityViolation: if an output state's smallest eigenvalue drops
             below ``-1e-5`` (integration failure; smaller negatives are
             tolerated and recorded in the diagnostics).
@@ -213,11 +219,10 @@ def evolve_lindblad(h, channels, rho0, times, dt: float | None = None) -> Trajec
     rho = validate_density_matrix(rho0)
     dim = rho.shape[0]
 
-    static = not callable(h)
-    h0 = require_hermitian(h if static else h(times[0]))
-    if h0.shape[0] != dim:
-        raise DimensionMismatch(f"generator dimension {h0.shape[0]} != state dimension {dim}")
-    norm_h = float(np.max(np.abs(np.linalg.eigvalsh(h0)))) if dim else 0.0
+    h = require_hermitian(h)
+    if h.shape[0] != dim:
+        raise DimensionMismatch(f"generator dimension {h.shape[0]} != state dimension {dim}")
+    norm_h = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if dim else 0.0
     total_rate = float(sum(ch.rate for ch in channels))
 
     if dt is None:
@@ -232,7 +237,7 @@ def evolve_lindblad(h, channels, rho0, times, dt: float | None = None) -> Trajec
             f"for |H| = {norm_h:.3g}, total rate = {total_rate:.3g}"
         )
 
-    lv = _liouvillian(h0, channels) if static else None
+    lv = _liouvillian(h, channels)
     transfer_cache: dict[float, np.ndarray] = {}
 
     states = np.empty((times.size, dim, dim), dtype=complex)
@@ -260,30 +265,16 @@ def evolve_lindblad(h, channels, rho0, times, dt: float | None = None) -> Trajec
         span = float(times[i]) - t_now
         n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
         h_step = span / n_steps
-        if static:
-            m = transfer_cache.get(h_step)
-            if m is None:
-                m = _rk4_transfer(lv, h_step)
-                transfer_cache[h_step] = m
-            for step in range(n_steps):
-                rho_vec = m @ rho_vec
-                raw = rho_vec.reshape(dim, dim)
-                if step == n_steps - 1:
-                    max_herm_dev = max(max_herm_dev, max_abs(raw - dagger(raw)))
-                rho_vec = _symmetrize(raw).reshape(-1)
-        else:
+        m = transfer_cache.get(h_step)
+        if m is None:
+            m = _rk4_transfer(lv, h_step)
+            transfer_cache[h_step] = m
+        for step in range(n_steps):
+            rho_vec = m @ rho_vec
             raw = rho_vec.reshape(dim, dim)
-            for k in range(n_steps):
-                t_k = t_now + k * h_step
-                k1 = _lindblad_rhs(raw, h(t_k), channels)
-                h_mid = h(t_k + 0.5 * h_step)
-                k2 = _lindblad_rhs(raw + 0.5 * h_step * k1, h_mid, channels)
-                k3 = _lindblad_rhs(raw + 0.5 * h_step * k2, h_mid, channels)
-                k4 = _lindblad_rhs(raw + h_step * k3, h(t_k + h_step), channels)
-                raw = raw + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if step == n_steps - 1:
                 max_herm_dev = max(max_herm_dev, max_abs(raw - dagger(raw)))
-                raw = _symmetrize(raw)
-            rho_vec = raw.reshape(-1)
+            rho_vec = _symmetrize(raw).reshape(-1)
         t_now = float(times[i])
         record(i, rho_vec.reshape(dim, dim).copy())
 

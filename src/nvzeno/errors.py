@@ -54,10 +54,6 @@ class NotNormalized(NVZenoError):
     """State vector or density matrix fails its normalization check."""
 
 
-class NotNormalizedInput(NotNormalized):
-    """Input coefficients do not form a unit-norm state."""
-
-
 class StepTooLarge(NVZenoError):
     """Integrator step exceeds the stability/accuracy guard."""
 
@@ -79,8 +75,12 @@ class ParseError(ConfigError):
 
 
 class UnknownKey(ConfigError):
-    """Config contains a key the schema does not define."""
+    """Config contains a key the schema, or the chosen experiment, does not use."""
 
 
 class OutOfRange(ConfigError):
     """Config value is outside its allowed range."""
+
+
+class NotNormalizedInput(NotNormalized, ConfigError):
+    """Input coefficients do not form a unit-norm state (a bad input, CLI exit code 2)."""

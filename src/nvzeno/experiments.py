@@ -7,19 +7,19 @@ in its ``aux`` level.  *State transfer* uses the same cycle to move an
 arbitrary qubit ``alpha |down> + beta |up>`` from one nucleus to the other.
 
 Every named sweep in :data:`EXPERIMENTS` produces a :class:`SweepResult`
-whose records are deterministic, ordered by grid index, and embarrassingly
-parallel over grid points.  Result metadata documents the decay-channel
-choice, worst-case integrator diagnostics, and a set of reference anchors:
-target values the sweep is expected to reproduce.  Anchors that land outside
-their band are flagged there rather than silently dropped, so downstream
-consumers always see the measured value next to the target.
+whose records are reproducible and ordered by grid index.  Result metadata
+documents the decay-channel choice, worst-case integrator diagnostics, and a
+set of reference anchors: target values the sweep is expected to reproduce.
+Anchors that land outside their band are flagged there rather than silently
+dropped, so downstream consumers always see the measured value next to the
+target.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .errors import (
     NotNormalizedInput,
     OutOfRange,
     UnknownExperiment,
+    UnknownKey,
     WrongSpace,
 )
 from .linalg import propagator
@@ -158,7 +159,6 @@ class _GateContext:
     def __init__(self, params: SystemParams, dt: float | None = None):
         if params.n_nuclei != 2:
             raise WrongSpace("gate and transfer protocols run on the two-nucleus register")
-        self.params = params
         self.dt = dt
         self.space = build_space(2)
         self.duration = params.gate_duration
@@ -170,10 +170,6 @@ class _GateContext:
         }
         self.diagnostics: dict = {}
 
-    @property
-    def closed(self) -> bool:
-        return not self.channels and not callable(self.h)
-
     def ideal_target(self, coeffs: np.ndarray) -> np.ndarray:
         """Image of a computational-input superposition under the ideal map."""
         target = np.zeros(self.space.dim, dtype=complex)
@@ -182,22 +178,20 @@ class _GateContext:
             target += c * np.exp(1j * phase) * self.kets[out_label]
         return target
 
-    def evolve(self, psi0: np.ndarray, t: float | None = None):
-        """Final state after one cycle: pure vector (closed) or density matrix."""
-        t = self.duration if t is None else t
-        if self.closed:
-            traj = evolve_unitary(self.h, psi0, (0.0, t))
-        else:
-            traj = evolve_lindblad(self.h, self.channels, psi0, (0.0, t), dt=self.dt)
-        self.diagnostics = _merge_diagnostics(self.diagnostics, traj.diagnostics)
-        return traj.final_state
+    def evolve(self, psi0: np.ndarray, times=None) -> Trajectory:
+        """Evolve ``psi0`` over ``times`` (default: one cycle ``(0, T)``).
 
-    def coherent_propagator(self) -> np.ndarray:
-        """Rotating-frame propagator of the coherent part (phase reference)."""
-        h_static = build_h_drive(self.space, self.params.omega, self.params.delta) + build_h_dd(
-            self.space, self.params.g_list
-        )
-        return propagator(h_static, self.duration)
+        Pure states under the unitary flow when every rate is zero, density
+        matrices under the Lindblad flow otherwise; the run's diagnostics are
+        merged into :attr:`diagnostics`.
+        """
+        times = (0.0, self.duration) if times is None else times
+        if not self.channels:
+            traj = evolve_unitary(self.h, psi0, times)
+        else:
+            traj = evolve_lindblad(self.h, self.channels, psi0, times, dt=self.dt)
+        self.diagnostics = _merge_diagnostics(self.diagnostics, traj.diagnostics)
+        return traj
 
 
 def run_gate(params: SystemParams, superposition=None, dt: float | None = None) -> GateResult:
@@ -213,17 +207,17 @@ def run_gate(params: SystemParams, superposition=None, dt: float | None = None) 
     ctx = _GateContext(params, dt=dt)
     coeffs = _superposition_coeffs(superposition)
 
-    u_coherent = ctx.coherent_propagator()
+    u_coherent = propagator(ctx.h, ctx.duration)
     fids, phases = {}, {}
     for label in BASIS_LABELS:
         out_label, _ = IDEAL_GATE_MAP[label]
-        final = ctx.evolve(ctx.kets[label])
+        final = ctx.evolve(ctx.kets[label]).final_state
         fids[label] = fidelity(ctx.kets[out_label], final)
         amp = np.vdot(ctx.kets[out_label], u_coherent @ ctx.kets[label])
         phases[label] = float(np.angle(amp))
 
     psi_sup = sum(c * ctx.kets[label] for c, label in zip(coeffs, BASIS_LABELS))
-    sup_fid = fidelity(ctx.ideal_target(coeffs), ctx.evolve(psi_sup))
+    sup_fid = fidelity(ctx.ideal_target(coeffs), ctx.evolve(psi_sup).final_state)
 
     return GateResult(
         fidelities=fids,
@@ -242,10 +236,10 @@ def gate_truth_table(params: SystemParams, dt: float | None = None) -> list[Trut
     when the ancilla fully disentangles).
     """
     ctx = _GateContext(params, dt=dt)
-    u_coherent = ctx.coherent_propagator()
+    u_coherent = propagator(ctx.h, ctx.duration)
     rows = []
     for label in BASIS_LABELS:
-        final = ctx.evolve(ctx.kets[label])
+        final = ctx.evolve(ctx.kets[label]).final_state
         pops = {out: population(final, ctx.kets[out]) for out in BASIS_LABELS}
         dominant = max(BASIS_LABELS, key=lambda out: pops[out])
         amp = np.vdot(ctx.kets[dominant], u_coherent @ ctx.kets[label])
@@ -260,15 +254,6 @@ def gate_truth_table(params: SystemParams, dt: float | None = None) -> list[Trut
             )
         )
     return rows
-
-
-def gate_detuning_fidelity(params: SystemParams, dt: float | None = None) -> float:
-    """Average gate fidelity with the drive detuned by ``params.delta``.
-
-    Intended for detuning ratios up to ``delta/omega = 0.5``; at
-    ``delta = 0`` this reduces to :func:`run_gate`'s average.
-    """
-    return run_gate(params, dt=dt).average_fidelity
 
 
 # -- state transfer ----------------------------------------------------------------
@@ -309,11 +294,7 @@ def run_qst(
         raise NotNormalizedInput("transfer coefficients must satisfy |alpha|^2 + |beta|^2 = 1")
     ctx = _GateContext(params, dt=dt)
     psi0, target = _qst_states(ctx.space, alpha, beta, source)
-    times = np.linspace(0.0, ctx.duration, int(n_times))
-    if ctx.closed:
-        traj = evolve_unitary(ctx.h, psi0, times)
-    else:
-        traj = evolve_lindblad(ctx.h, ctx.channels, psi0, times, dt=dt)
+    traj = ctx.evolve(psi0, np.linspace(0.0, ctx.duration, int(n_times)))
     dark = zeno_decompose(build_h_dd(ctx.space, params.g_list)).dark_projector()
     survival = traj.population_series(dark)
     traj.observables["dark_survival"] = survival
@@ -369,7 +350,6 @@ class SweepSpec:
     axes: dict | None = None
     fixed: dict = field(default_factory=dict)
     dt: float | None = None
-    threads: int = 1
 
 
 @dataclass
@@ -404,13 +384,6 @@ def _anchor(name: str, measured: float, low=None, high=None, note: str | None = 
     return entry
 
 
-def _map_points(func, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
-
 def _params_from_fixed(fixed: dict, **overrides) -> SystemParams:
     kwargs = {
         "omega": fixed.get("omega_over_g", OMEGA_DEFAULT),
@@ -430,11 +403,12 @@ def _alpha_beta(fixed: dict) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def _channel_note(params_like: dict) -> list:
+def _channel_note(fixed: dict, sweeps_nv: bool = False, sweeps_n: bool = False) -> list:
+    """Decay channels a sweep runs with: swept rates and nonzero fixed rates."""
     notes = []
-    if params_like.get("gamma_nv", 0.0) or params_like.get("sweeps_nv"):
+    if sweeps_nv or fixed.get("gamma_nv_over_g", 0.0):
         notes.append("nv: up->down at rate gamma_nv")
-    if params_like.get("gamma_n", 0.0) or params_like.get("sweeps_n"):
+    if sweeps_n or fixed.get("gamma_n_over_g", 0.0):
         notes.append("nucleus 1: up->down at rate gamma_n")
         notes.append("nucleus 2: up->down at rate gamma_n")
     return notes or ["none (closed system)"]
@@ -446,30 +420,25 @@ def _gate_basis_average(params: SystemParams, dt: float | None) -> tuple[float, 
     total = 0.0
     for label in BASIS_LABELS:
         out_label, _ = IDEAL_GATE_MAP[label]
-        total += fidelity(ctx.kets[out_label], ctx.evolve(ctx.kets[label]))
+        total += fidelity(ctx.kets[out_label], ctx.evolve(ctx.kets[label]).final_state)
     return total / 4.0, ctx.diagnostics
 
 
 def _qst_point_fidelity(params: SystemParams, alpha, beta, dt: float | None) -> tuple[float, dict]:
     ctx = _GateContext(params, dt=dt)
     psi0, target = _qst_states(ctx.space, alpha, beta, 1)
-    final = ctx.evolve(psi0)
+    final = ctx.evolve(psi0).final_state
     return float(fidelity(target, final)), ctx.diagnostics
 
 
 # -- named experiment runners ------------------------------------------------------
 
 
-def _run_ratio_sweep(axes, fixed, dt, threads):
+def _run_ratio_sweep(axes, fixed, dt):
     grid = axes["omega_over_g"]
-
-    def point(om):
-        res = run_gate(_params_from_fixed(fixed, omega=float(om)), dt=dt)
-        return res.average_fidelity, res.superposition_fidelity
-
-    rows = _map_points(point, list(grid), threads)
-    avg = np.array([r[0] for r in rows])
-    sup = np.array([r[1] for r in rows])
+    results = [run_gate(_params_from_fixed(fixed, omega=float(om)), dt=dt) for om in grid]
+    avg = np.array([r.average_fidelity for r in results])
+    sup = np.array([r.superposition_fidelity for r in results])
     anchors = []
     near = np.abs(grid - 0.15) < 1e-9
     if np.any(near):
@@ -487,50 +456,38 @@ def _run_ratio_sweep(axes, fixed, dt, threads):
             )
         )
     data = {"fidelity_avg": avg, "fidelity_superposition": sup}
-    return data, {"reference_anchors": anchors, "decay_channels": _channel_note({})}
+    return data, {"reference_anchors": anchors, "decay_channels": _channel_note(fixed)}
 
 
-def _run_detuning_population(axes, fixed, dt, threads):
+def _run_detuning_population(axes, fixed, dt):
     ratios = axes["delta_over_omega"]
-    t_over = axes["t_over_T"]
     omega = fixed.get("omega_over_g", OMEGA_DEFAULT)
-    space = build_space(2)
-    hold = basis_state(space, ("down", "down", "aux"))
-    duration = math.pi / omega
-    times = t_over * duration
+    hold = basis_state(build_space(2), ("down", "down", "aux"))
+    times = axes["t_over_T"] * (math.pi / omega)
+    series = []
     diagnostics: dict = {}
-
-    def point(ratio):
-        params = _params_from_fixed(fixed, omega=omega, delta=float(ratio) * omega)
-        ctx = _GateContext(params, dt=dt)
-        if ctx.closed:
-            traj = evolve_unitary(ctx.h, hold, times)
-        else:
-            traj = evolve_lindblad(ctx.h, ctx.channels, hold, times, dt=dt)
-        return traj.population_series(hold), traj.diagnostics
-
-    results = _map_points(point, list(ratios), threads)
-    pops = np.concatenate([r[0] for r in results])
-    for _, diag in results:
-        diagnostics = _merge_diagnostics(diagnostics, diag)
+    for ratio in ratios:
+        ctx = _GateContext(_params_from_fixed(fixed, omega=omega, delta=float(ratio) * omega), dt)
+        series.append(ctx.evolve(hold, times).population_series(hold))
+        diagnostics = _merge_diagnostics(diagnostics, ctx.diagnostics)
     anchors = []
-    small = np.asarray(ratios) <= 0.2 + 1e-12
+    small = ratios <= 0.2 + 1e-12
     if np.any(small):
-        worst = float(np.min(np.concatenate([results[i][0] for i in np.nonzero(small)[0]])))
+        worst = float(np.min(np.concatenate([series[i] for i in np.nonzero(small)[0]])))
         anchors.append(
             _anchor("min population of |down,down,aux> for delta/omega <= 0.2", worst, low=0.98)
         )
     return (
-        {"population": pops},
+        {"population": np.concatenate(series)},
         {
             "reference_anchors": anchors,
-            "decay_channels": _channel_note({}),
+            "decay_channels": _channel_note(fixed),
             "integrator": diagnostics,
         },
     )
 
 
-def _run_decay_trajectory(axes, fixed, dt, threads):
+def _run_decay_trajectory(axes, fixed, dt):
     t_over = axes["t_over_T"]
     params = _params_from_fixed(fixed)
     ctx = _GateContext(params)
@@ -563,24 +520,18 @@ def _run_decay_trajectory(axes, fixed, dt, threads):
         {"population_up_up": series["up_up"], "population_down_up": series["down_up"]},
         {
             "reference_anchors": anchors,
-            "decay_channels": _channel_note({"gamma_nv": params.gamma_nv, "gamma_n": params.gamma_n}),
+            "decay_channels": _channel_note(fixed),
             "integrator": diagnostics,
         },
     )
 
 
-def _run_decay_surface(axes, fixed, dt, threads):
-    nv_grid = axes["gamma_nv_over_g"]
-    n_grid = axes["gamma_n_over_g"]
-    points = [(float(a), float(b)) for a in nv_grid for b in n_grid]
-
-    def point(ab):
-        a, b = ab
-        return _gate_basis_average(
-            _params_from_fixed(fixed, gamma_nv=a, gamma_n=b), dt
-        )
-
-    results = _map_points(point, points, threads)
+def _run_decay_surface(axes, fixed, dt):
+    results = [
+        _gate_basis_average(_params_from_fixed(fixed, gamma_nv=float(a), gamma_n=float(b)), dt)
+        for a in axes["gamma_nv_over_g"]
+        for b in axes["gamma_n_over_g"]
+    ]
     fid = np.array([r[0] for r in results])
     diagnostics: dict = {}
     for _, diag in results:
@@ -595,13 +546,13 @@ def _run_decay_surface(axes, fixed, dt, threads):
         {"fidelity_avg": fid},
         {
             "reference_anchors": anchors,
-            "decay_channels": _channel_note({"sweeps_nv": True, "sweeps_n": True}),
+            "decay_channels": _channel_note(fixed, sweeps_nv=True, sweeps_n=True),
             "integrator": diagnostics,
         },
     )
 
 
-def _systematic_runner(axes, fixed, dt, threads, time_axis: bool):
+def _systematic_runner(axes, fixed, dt, time_axis: bool):
     g_grid = axes["delta_g_over_g"]
     other_name = "delta_t_over_t" if time_axis else "delta_omega_over_omega"
     other_grid = axes[other_name]
@@ -620,7 +571,7 @@ def _systematic_runner(axes, fixed, dt, threads, time_axis: bool):
         final = evolve_unitary(h, psi0, (0.0, duration * scale_t)).final_state
         return float(fidelity(target, final))
 
-    fid = np.array(_map_points(point, points, threads))
+    fid = np.array([point(pair) for pair in points])
     anchors = []
     target_pt = (0.1, 0.1)
     for i, pair in enumerate(points):
@@ -636,20 +587,12 @@ def _systematic_runner(axes, fixed, dt, threads, time_axis: bool):
             break
     return (
         {"fidelity": fid},
-        {"reference_anchors": anchors, "decay_channels": _channel_note({}),
+        {"reference_anchors": anchors, "decay_channels": _channel_note(fixed),
          "transfer_input": {"alpha": abs(alpha) ** 2, "beta": abs(beta) ** 2}},
     )
 
 
-def _run_systematic_omega_g(axes, fixed, dt, threads):
-    return _systematic_runner(axes, fixed, dt, threads, time_axis=False)
-
-
-def _run_systematic_t_g(axes, fixed, dt, threads):
-    return _systematic_runner(axes, fixed, dt, threads, time_axis=True)
-
-
-def _run_survival_map(axes, fixed, dt, threads):
+def _run_survival_map(axes, fixed, dt):
     t_over = np.asarray(axes["t_over_T"], dtype=float)
     om_grid = np.asarray(axes["omega_over_g"], dtype=float)
     tt, om = np.meshgrid(t_over, om_grid, indexing="ij")
@@ -672,11 +615,11 @@ def _run_survival_map(axes, fixed, dt, threads):
         )
     return (
         {"p0": p0.reshape(-1)},
-        {"reference_anchors": anchors, "decay_channels": _channel_note({})},
+        {"reference_anchors": anchors, "decay_channels": _channel_note(fixed)},
     )
 
 
-def _run_survival_map_full(axes, fixed, dt, threads):
+def _run_survival_map_full(axes, fixed, dt):
     t_over = np.asarray(axes["t_over_T"], dtype=float)
     om_grid = np.asarray(axes["omega_over_g"], dtype=float)
     space = build_space(2)
@@ -690,19 +633,18 @@ def _run_survival_map_full(axes, fixed, dt, threads):
         traj = evolve_unitary(h, psi0, times)
         return traj.population_series(aux_proj)
 
-    columns = _map_points(column, list(om_grid), threads)
-    p_aux = np.stack(columns, axis=1)
+    p_aux = np.stack([column(om) for om in om_grid], axis=1)
     return (
         {"p_nv_aux": p_aux.reshape(-1)},
         {
             "reference_anchors": [],
-            "decay_channels": _channel_note({}),
+            "decay_channels": _channel_note(fixed),
             "note": "full-register counterpart of survival_map; initial ket |down,down,aux>",
         },
     )
 
 
-def _qst_decoherence_runner(axes, fixed, dt, threads, nv: bool):
+def _qst_decoherence_runner(axes, fixed, dt, nv: bool):
     gamma_name = "gamma_nv_over_g" if nv else "gamma_n_over_g"
     gamma_grid = axes[gamma_name]
     delta_grid = axes["delta_over_g"]
@@ -715,7 +657,7 @@ def _qst_decoherence_runner(axes, fixed, dt, threads, nv: bool):
         params = _params_from_fixed(fixed, delta=d, **overrides)
         return _qst_point_fidelity(params, alpha, beta, dt)
 
-    results = _map_points(point, points, threads)
+    results = [point(pair) for pair in points]
     fid = np.array([r[0] for r in results])
     diagnostics: dict = {}
     for _, diag in results:
@@ -737,26 +679,23 @@ def _qst_decoherence_runner(axes, fixed, dt, threads, nv: bool):
         {"fidelity": fid},
         {
             "reference_anchors": anchors,
-            "decay_channels": _channel_note({"sweeps_nv": nv, "sweeps_n": not nv}),
+            "decay_channels": _channel_note(fixed, sweeps_nv=nv, sweeps_n=not nv),
             "integrator": diagnostics,
             "transfer_input": {"alpha": abs(alpha) ** 2, "beta": abs(beta) ** 2},
         },
     )
 
 
-def _run_qst_decoherence_n(axes, fixed, dt, threads):
-    return _qst_decoherence_runner(axes, fixed, dt, threads, nv=False)
-
-
-def _run_qst_decoherence_nv(axes, fixed, dt, threads):
-    return _qst_decoherence_runner(axes, fixed, dt, threads, nv=True)
-
-
 # -- registry ---------------------------------------------------------------------
+
+
+_TRANSFER_INPUTS = ("omega_over_g", "alpha", "beta")
 
 
 @dataclass(frozen=True)
 class ExperimentInfo:
+    """Registry entry; ``inputs`` names the fixed keys (and ``dt``) the runner reads."""
+
     name: str
     description: str
     figure: str
@@ -764,6 +703,7 @@ class ExperimentInfo:
     value_columns: tuple
     default_axes: object
     runner: object
+    inputs: tuple
     default_fixed: dict = field(default_factory=dict)
 
 
@@ -778,6 +718,7 @@ EXPERIMENTS = {
             value_columns=("fidelity_avg", "fidelity_superposition"),
             default_axes=lambda: {"omega_over_g": np.linspace(0.005, 0.25, 50)},
             runner=_run_ratio_sweep,
+            inputs=("delta_over_g", "gamma_nv_over_g", "gamma_n_over_g", "dt"),
         ),
         ExperimentInfo(
             name="detuning_population",
@@ -790,6 +731,7 @@ EXPERIMENTS = {
                 "t_over_T": np.linspace(0.0, 1.0, 201),
             },
             runner=_run_detuning_population,
+            inputs=("omega_over_g", "gamma_nv_over_g", "gamma_n_over_g", "dt"),
         ),
         ExperimentInfo(
             name="decay_trajectory",
@@ -799,6 +741,7 @@ EXPERIMENTS = {
             value_columns=("population_up_up", "population_down_up"),
             default_axes=lambda: {"t_over_T": np.linspace(0.0, 1.0, 201)},
             runner=_run_decay_trajectory,
+            inputs=("omega_over_g", "delta_over_g", "gamma_nv_over_g", "gamma_n_over_g", "dt"),
             default_fixed={"gamma_nv_over_g": 0.001, "gamma_n_over_g": 0.001},
         ),
         ExperimentInfo(
@@ -812,6 +755,7 @@ EXPERIMENTS = {
                 "gamma_n_over_g": np.linspace(0.0, 0.002, 9),
             },
             runner=_run_decay_surface,
+            inputs=("omega_over_g", "delta_over_g", "dt"),
         ),
         ExperimentInfo(
             name="systematic_omega_g",
@@ -823,7 +767,8 @@ EXPERIMENTS = {
                 "delta_g_over_g": np.linspace(-0.1, 0.1, 9),
                 "delta_omega_over_omega": np.linspace(-0.1, 0.1, 9),
             },
-            runner=_run_systematic_omega_g,
+            runner=partial(_systematic_runner, time_axis=False),
+            inputs=_TRANSFER_INPUTS,
         ),
         ExperimentInfo(
             name="systematic_t_g",
@@ -835,7 +780,8 @@ EXPERIMENTS = {
                 "delta_g_over_g": np.linspace(-0.1, 0.1, 9),
                 "delta_t_over_t": np.linspace(-0.1, 0.1, 9),
             },
-            runner=_run_systematic_t_g,
+            runner=partial(_systematic_runner, time_axis=True),
+            inputs=_TRANSFER_INPUTS,
         ),
         ExperimentInfo(
             name="survival_map",
@@ -848,6 +794,7 @@ EXPERIMENTS = {
                 "omega_over_g": np.linspace(0.005, 0.25, 100),
             },
             runner=_run_survival_map,
+            inputs=(),
         ),
         ExperimentInfo(
             name="survival_map_full",
@@ -860,6 +807,7 @@ EXPERIMENTS = {
                 "omega_over_g": np.linspace(0.005, 0.25, 100),
             },
             runner=_run_survival_map_full,
+            inputs=(),
         ),
         ExperimentInfo(
             name="qst_decoherence_n",
@@ -871,7 +819,8 @@ EXPERIMENTS = {
                 "gamma_n_over_g": np.linspace(0.0, 0.01, 9),
                 "delta_over_g": np.linspace(0.0, 0.01, 9),
             },
-            runner=_run_qst_decoherence_n,
+            runner=partial(_qst_decoherence_runner, nv=False),
+            inputs=_TRANSFER_INPUTS + ("gamma_nv_over_g", "dt"),
         ),
         ExperimentInfo(
             name="qst_decoherence_nv",
@@ -883,7 +832,8 @@ EXPERIMENTS = {
                 "gamma_nv_over_g": np.linspace(0.0, 0.01, 9),
                 "delta_over_g": np.linspace(0.0, 0.01, 9),
             },
-            runner=_run_qst_decoherence_nv,
+            runner=partial(_qst_decoherence_runner, nv=True),
+            inputs=_TRANSFER_INPUTS + ("gamma_n_over_g", "dt"),
         ),
     )
 }
@@ -909,12 +859,12 @@ def sweep(spec: SweepSpec) -> SweepResult:
     """Run a named experiment over its parameter grid.
 
     Axis overrides are merged over the experiment defaults; records come
-    back row-major over the axes in registry order, one per grid point,
-    identical whether points ran serially or in parallel.
+    back row-major over the axes in registry order, one per grid point.
 
     Raises:
         UnknownExperiment: if the name is not registered.
         OutOfRange: for empty, non-finite, or out-of-domain grids.
+        UnknownKey: for a fixed key (or ``dt``) the experiment does not read.
     """
     info = EXPERIMENTS.get(spec.experiment)
     if info is None:
@@ -930,8 +880,11 @@ def sweep(spec: SweepSpec) -> SweepResult:
         axes[name] = grid
     axes = {name: _validate_axis(name, axes[name]) for name in info.axis_names}
 
+    unread = sorted(set(spec.fixed).union(["dt"] if spec.dt is not None else []) - set(info.inputs))
+    if unread:
+        raise UnknownKey(f"{info.name!r} does not read {unread}; it reads {list(info.inputs)}")
     fixed = {**info.default_fixed, **spec.fixed}
-    data, extra = info.runner(axes, fixed, spec.dt, max(1, int(spec.threads)))
+    data, extra = info.runner(axes, fixed, spec.dt)
 
     n_rows = int(np.prod([axes[name].size for name in info.axis_names]))
     grids = np.meshgrid(*[axes[name] for name in info.axis_names], indexing="ij")

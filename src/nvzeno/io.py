@@ -34,7 +34,7 @@ class OutputRecord:
 
 
 def _jsonable(value):
-    """Convert numpy scalars/arrays so json.dumps round-trips deterministically."""
+    """Convert numpy scalars/arrays so json.dumps output is reproducible."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

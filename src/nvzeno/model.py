@@ -159,44 +159,13 @@ def nv_projector(space: HilbertSpace, level) -> np.ndarray:
 # -- Hamiltonians --------------------------------------------------------------
 
 
-class TimeDependentHamiltonian:
-    """Hermitian generator evaluated lazily at time ``t``.
+def build_h_drive(space: HilbertSpace, omega: float, delta: float = 0.0) -> np.ndarray:
+    """Mechanical drive on the NV ``aux <-> up`` transition, in the rotating frame.
 
-    Supports addition with static arrays (and other instances) so callers can
-    write ``build_h_drive(..., frame="explicit-time") + build_h_dd(...)``.
-    """
-
-    def __init__(self, func, dim: int):
-        self._func = func
-        self.dim = dim
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self._func(float(t))
-
-    def __add__(self, other):
-        if isinstance(other, TimeDependentHamiltonian):
-            return TimeDependentHamiltonian(lambda t: self(t) + other(t), self.dim)
-        static = np.asarray(other, dtype=complex)
-        return TimeDependentHamiltonian(lambda t: self(t) + static, self.dim)
-
-    __radd__ = __add__
-
-
-def build_h_drive(
-    space: HilbertSpace,
-    omega: float,
-    delta: float = 0.0,
-    frame: str = "rotating",
-):
-    """Mechanical drive on the NV ``aux <-> up`` transition.
-
-    In the ``rotating`` frame the generator is static,
-    ``omega (|aux><up| + h.c.) + delta |aux><aux|`` (identity on the nuclei).
-    In the ``explicit-time`` frame the detuning appears as the drive phase
-    ``omega e^{-i delta t} |aux><up| + h.c.`` and the returned object is a
-    :class:`TimeDependentHamiltonian`.  Both are Hermitian at every time and
-    produce identical populations (the generators differ by a diagonal frame
-    shift that real initial states cannot resolve).
+    ``omega (|aux><up| + h.c.) + delta |aux><aux|`` (identity on the nuclei),
+    the static generator of a drive detuned by ``delta``.  It differs from the
+    explicit drive phase ``omega e^{-i delta t} |aux><up| + h.c.`` by a
+    diagonal frame shift on ``aux`` and gives the same populations.
 
     Raises:
         NegativeRabi: if ``omega < 0``.
@@ -204,17 +173,7 @@ def build_h_drive(
     if omega < 0:
         raise NegativeRabi(f"drive amplitude must be nonnegative, got {omega}")
     raise_op = nv_operator(space, _ketbra3(NV_AUX, NV_UP))
-    lower_op = dagger(raise_op)
-    if frame == "rotating":
-        return omega * (raise_op + lower_op) + delta * nv_projector(space, NV_AUX)
-    if frame == "explicit-time":
-
-        def at(t: float) -> np.ndarray:
-            phase = np.exp(-1j * delta * t)
-            return omega * (phase * raise_op + np.conj(phase) * lower_op)
-
-        return TimeDependentHamiltonian(at, space.dim)
-    raise ValueError(f"unknown frame {frame!r}; use 'rotating' or 'explicit-time'")
+    return omega * (raise_op + dagger(raise_op)) + delta * nv_projector(space, NV_AUX)
 
 
 def build_h_dd(space: HilbertSpace, g_list) -> np.ndarray:
@@ -336,7 +295,8 @@ class SystemParams:
         delta: drive detuning.
         gamma_nv: NV relaxation rate.
         gamma_n: nuclear relaxation rate (applied to every nucleus).
-        frame: ``"rotating"`` (static generator) or ``"explicit-time"``.
+
+    :meth:`hamiltonian` is the static rotating-frame generator.
     """
 
     g_list: tuple = (1.0, 1.0)
@@ -344,7 +304,6 @@ class SystemParams:
     delta: float = 0.0
     gamma_nv: float = 0.0
     gamma_n: float = 0.0
-    frame: str = "rotating"
 
     def __post_init__(self):
         object.__setattr__(self, "g_list", tuple(float(g) for g in self.g_list))
@@ -352,8 +311,6 @@ class SystemParams:
             raise NegativeRabi(f"omega must be nonnegative, got {self.omega}")
         if self.gamma_nv < 0 or self.gamma_n < 0:
             raise NegativeRabi("relaxation rates must be nonnegative")
-        if self.frame not in ("rotating", "explicit-time"):
-            raise ValueError(f"unknown frame {self.frame!r}")
 
     @property
     def n_nuclei(self) -> int:
@@ -369,11 +326,10 @@ class SystemParams:
     def space(self) -> HilbertSpace:
         return build_space(self.n_nuclei)
 
-    def hamiltonian(self, space: HilbertSpace | None = None):
-        """Drive plus flip-flop coupling in the configured frame."""
+    def hamiltonian(self, space: HilbertSpace | None = None) -> np.ndarray:
+        """Drive plus flip-flop coupling in the rotating frame."""
         space = space or self.space()
-        drive = build_h_drive(space, self.omega, self.delta, self.frame)
-        return drive + build_h_dd(space, self.g_list)
+        return build_h_drive(space, self.omega, self.delta) + build_h_dd(space, self.g_list)
 
     def channels(self, space: HilbertSpace | None = None) -> list[CollapseChannel]:
         space = space or self.space()

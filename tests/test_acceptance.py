@@ -28,7 +28,6 @@ from nvzeno.experiments import (
     BASIS_LABELS,
     IDEAL_GATE_MAP,
     SweepSpec,
-    gate_detuning_fidelity,
     gate_truth_table,
     run_gate,
     sweep,
@@ -109,7 +108,7 @@ def decay_trajectory_result():
 
 @pytest.fixture(scope="module")
 def decay_surface_result():
-    return sweep(SweepSpec("decay_surface", threads=2))
+    return sweep(SweepSpec("decay_surface"))
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +127,8 @@ def survival_result():
 @pytest.fixture(scope="module")
 def qst_decoherence_results():
     return (
-        sweep(SweepSpec("qst_decoherence_n", threads=2)),
-        sweep(SweepSpec("qst_decoherence_nv", threads=2)),
+        sweep(SweepSpec("qst_decoherence_n")),
+        sweep(SweepSpec("qst_decoherence_nv")),
     )
 
 
@@ -163,7 +162,7 @@ def test_criterion_02_gate_truth_table():
 def test_criterion_03_detuning_robustness(detuning_result):
     check_anchor("3a", "hold population >= 0.98 for delta/omega <= 0.2", detuning_result,
                  "min population")
-    fid = gate_detuning_fidelity(SystemParams(omega=0.105, delta=0.1 * 0.105))
+    fid = run_gate(SystemParams(omega=0.105, delta=0.1 * 0.105)).average_fidelity
     assert abs(fid - 0.995) <= 0.01
     report("3b", "average gate fidelity 0.995 +- 0.01 at delta/omega = 0.1", "PASS",
            f"measured {fid:.5f}")

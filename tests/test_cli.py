@@ -13,8 +13,7 @@ class TestParseConfig:
         config = parse_config("{}")
         assert config.experiment is None
         assert config.fixed == {} and config.axes == {}
-        assert config.n_nuclei == 2
-        assert config.format == "csv" and config.threads == 1
+        assert config.dt is None and config.format == "csv"
 
     def test_ratio_sweep_config(self):
         config = parse_config(
@@ -51,11 +50,10 @@ class TestParseConfig:
         with pytest.raises(OutOfRange):
             parse_config('{"omega_over_g": 0.0}')
         with pytest.raises(OutOfRange):
-            parse_config('{"threads": 0}')
-        with pytest.raises(OutOfRange):
             parse_config('{"format": "xml"}')
-        with pytest.raises(OutOfRange):
-            parse_config('{"deterministic": false}')
+        for removed in ('{"threads": 2}', '{"n_nuclei": 2}', '{"deterministic": true}'):
+            with pytest.raises(UnknownKey):
+                parse_config(removed)
         with pytest.raises(ParseError):
             parse_config('{"experiment": 4}')
         with pytest.raises(ParseError):
@@ -169,6 +167,45 @@ class TestMain:
         assert code == 3
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "StepTooLarge"
+
+    def test_removed_knobs_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "survival_map", "out": out}))
+        for argv in (
+            ["run", "--config", str(cfg), "--threads", "2"],
+            ["sweep", "--experiment", "survival_map", "--out", out, "--threads", "2"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        for key, value in (("threads", 2), ("n_nuclei", 2), ("deterministic", True)):
+            cfg.write_text(json.dumps({"experiment": "survival_map", "out": out, key: value}))
+            assert main(["run", "--config", str(cfg)]) == 2
+            assert json.loads(capsys.readouterr().err.strip())["error"] == "UnknownKey"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_unnormalized_transfer_input_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for name in ("systematic_omega_g", "qst_decoherence_n"):
+            cfg.write_text(json.dumps({
+                "experiment": name, "alpha": 0.9, "beta": 0.9, "out": str(tmp_path / "x.csv"),
+            }))
+            assert main(["run", "--config", str(cfg)]) == 2
+            assert json.loads(capsys.readouterr().err.strip())["error"] == "NotNormalizedInput"
+
+    def test_unread_input_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for doc in (
+            {"experiment": "systematic_omega_g", "gamma_nv_over_g": 0.5, "dt": 0.3},
+            {"experiment": "detuning_population", "delta_over_g": 5.0},
+            {"experiment": "survival_map", "alpha": 0.6},
+        ):
+            cfg.write_text(json.dumps({**doc, "out": str(tmp_path / "x.csv")}))
+            assert main(["run", "--config", str(cfg)]) == 2
+            assert json.loads(capsys.readouterr().err.strip())["error"] == "UnknownKey"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "sweep.csv"

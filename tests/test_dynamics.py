@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nvzeno import dynamics
 from nvzeno.dynamics import (
     evolve_lindblad,
     evolve_unitary,
@@ -143,16 +144,14 @@ class TestEvolveLindblad:
         with pytest.raises(NotNormalized):
             evolve_lindblad(np.zeros((2, 2)), [], np.diag([0.7, 0.7]).astype(complex), (0.0, 1.0))
 
-    def test_time_dependent_generator_matches_static(self, space2):
-        # explicit-time drive at zero detuning equals the rotating frame
-        omega = 0.2
-        handle = build_h_drive(space2, omega, 0.0, "explicit-time") + build_h_dd(space2, (1.0, 1.0))
-        static = full_hamiltonian(space2, omega)
+    def test_liouvillian_size_guard(self, space2, monkeypatch):
+        # four nuclei (d = 48) fit under the guard, five (d = 96) do not
+        item = np.dtype(complex).itemsize
+        assert 48**4 * item <= dynamics.MAX_LIOUVILLIAN_BYTES < 96**4 * item
+        monkeypatch.setattr(dynamics, "MAX_LIOUVILLIAN_BYTES", 12**4 * item - 1)
         psi0 = basis_state(space2, ("up", "down", "aux"))
-        times = (0.0, 3.0)
-        rho_t = evolve_lindblad(handle, [], psi0, times).final_state
-        rho_s = evolve_lindblad(static, [], psi0, times).final_state
-        assert max_abs(rho_t - rho_s) < 1e-9
+        with pytest.raises(DimensionMismatch, match="guard"):
+            evolve_lindblad(full_hamiltonian(space2, 0.105), [], psi0, (0.0, 1.0))
 
     def test_deterministic_reruns(self, space2):
         params = SystemParams(omega=0.105, gamma_nv=0.001, gamma_n=0.0)

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from nvzeno.dynamics import evolve_unitary, fidelity
-from nvzeno.errors import NotNormalizedInput, OutOfRange, UnknownExperiment
+from nvzeno.cli import _PARAMETER_KEYS
+from nvzeno.errors import (
+    ConfigError,
+    NotNormalized,
+    NotNormalizedInput,
+    OutOfRange,
+    UnknownExperiment,
+    UnknownKey,
+)
 from nvzeno.experiments import (
     BASIS_LABELS,
     EXPERIMENTS,
     IDEAL_GATE_MAP,
     SweepSpec,
-    gate_detuning_fidelity,
     gate_truth_table,
     run_gate,
     run_qst,
@@ -90,19 +97,13 @@ class TestTruthTable:
 
 
 class TestDetuning:
-    def test_zero_detuning_reduces_to_run_gate(self):
-        params = SystemParams(omega=0.105)
-        assert gate_detuning_fidelity(params) == pytest.approx(
-            run_gate(params).average_fidelity, abs=1e-12
-        )
-
     def test_small_detuning_high_fidelity(self):
         params = SystemParams(omega=0.105, delta=0.1 * 0.105)
-        assert abs(gate_detuning_fidelity(params) - 0.995) <= 0.01
+        assert abs(run_gate(params).average_fidelity - 0.995) <= 0.01
 
     def test_half_ratio_visibly_degraded(self):
-        base = gate_detuning_fidelity(SystemParams(omega=0.105))
-        detuned = gate_detuning_fidelity(SystemParams(omega=0.105, delta=0.5 * 0.105))
+        base = run_gate(SystemParams(omega=0.105)).average_fidelity
+        detuned = run_gate(SystemParams(omega=0.105, delta=0.5 * 0.105)).average_fidelity
         assert base - detuned > 0.005
 
 
@@ -173,14 +174,18 @@ class TestSweep:
         with pytest.raises(OutOfRange):
             sweep(SweepSpec("ratio_sweep", axes={"gamma_nv_over_g": np.array([0.0, 0.001])}))
 
-    def test_serial_equals_parallel(self):
+    def test_grid_points_equal_independent_runs(self):
+        # each grid point is computed on its own, in the same order as the rows
         axes = {
-            "gamma_nv_over_g": np.linspace(0.0, 0.002, 3),
-            "gamma_n_over_g": np.linspace(0.0, 0.002, 3),
+            "gamma_nv_over_g": np.array([0.0, 0.002]),
+            "gamma_n_over_g": np.array([0.001]),
         }
-        serial = sweep(SweepSpec("decay_surface", axes=axes, threads=1))
-        parallel = sweep(SweepSpec("decay_surface", axes=axes, threads=4))
-        assert np.array_equal(serial.data["fidelity_avg"], parallel.data["fidelity_avg"])
+        res = sweep(SweepSpec("decay_surface", axes=axes))
+        for a, b, fid in zip(
+            res.data["gamma_nv_over_g"], res.data["gamma_n_over_g"], res.data["fidelity_avg"]
+        ):
+            direct = run_gate(SystemParams(gamma_nv=a, gamma_n=b)).average_fidelity
+            assert fid == pytest.approx(direct, abs=1e-12)
 
     def test_metadata_contents(self):
         res = sweep(SweepSpec("ratio_sweep", axes={"omega_over_g": np.linspace(0.05, 0.25, 5)}))
@@ -280,3 +285,40 @@ class TestSweep:
             for column in info.value_columns:
                 values = res.data[column]
                 assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-9), (name, column)
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_rejects_inputs_the_experiment_does_not_read(self, name):
+        info = EXPERIMENTS[name]
+        unread = [key for key in _PARAMETER_KEYS if key not in info.inputs]
+        assert unread
+        for key in unread:
+            with pytest.raises(UnknownKey):
+                sweep(SweepSpec(name, fixed={key: 0.1}))
+        closed_only = name.startswith(("systematic_", "survival_map"))
+        assert ("dt" in info.inputs) != closed_only
+        if closed_only:
+            with pytest.raises(UnknownKey):
+                sweep(SweepSpec(name, dt=0.001))
+
+    def test_unnormalized_transfer_input_is_a_config_error(self):
+        for name in ("systematic_omega_g", "qst_decoherence_n"):
+            with pytest.raises(NotNormalized) as err:
+                sweep(SweepSpec(name, fixed={"alpha": 0.9, "beta": 0.9}))
+            assert isinstance(err.value, ConfigError)
+
+    def test_decay_channels_follow_fixed_rates(self):
+        one_ratio = {"omega_over_g": np.array([0.105])}
+        closed = sweep(SweepSpec("ratio_sweep", axes=one_ratio))
+        assert closed.metadata["decay_channels"] == ["none (closed system)"]
+        open_nv = sweep(SweepSpec("ratio_sweep", axes=one_ratio, fixed={"gamma_nv_over_g": 0.002}))
+        assert open_nv.metadata["decay_channels"] == ["nv: up->down at rate gamma_nv"]
+        assert open_nv.data["fidelity_avg"][0] < closed.data["fidelity_avg"][0]
+        open_n = sweep(SweepSpec(
+            "detuning_population",
+            axes={"delta_over_omega": np.array([0.0]), "t_over_T": np.array([0.0, 1.0])},
+            fixed={"gamma_n_over_g": 0.001},
+        ))
+        assert open_n.metadata["decay_channels"] == [
+            "nucleus 1: up->down at rate gamma_n",
+            "nucleus 2: up->down at rate gamma_n",
+        ]
