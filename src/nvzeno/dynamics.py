@@ -8,11 +8,13 @@ to machine precision.  Open-system evolution integrates
 
 for a static generator H with a classical fixed-step fourth-order (RK4)
 scheme on the density matrix.  The RK4 step of a linear equation is exactly
-the degree-4 Taylor polynomial of the one-step flow, so the stepper
-precomputes that polynomial of the vectorized generator once and applies it
-per step.  The state is re-symmetrized (rho <- (rho + rho^dag)/2) after
-every step, the trace is monitored, and positivity is checked at every
-output time.
+the degree-4 Taylor polynomial M of the one-step flow, so n uniform steps
+over an output interval are the matrix power M^n, built by repeated squaring
+and applied to the state in one product.  The state is re-symmetrized
+(rho <- (rho + rho^dag)/2) at every output time, where its trace,
+Hermiticity defect and positivity are also checked.  The Liouvillian and its
+interval powers are kept for the most recent generator, so consecutive runs
+of several inputs under one generator build them once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     NotNormalized,
     PositivityViolation,
+    StepCountExceeded,
     StepTooLarge,
 )
 from .linalg import dagger, eig_hermitian, hermiticity_defect, max_abs, require_hermitian
@@ -42,6 +45,10 @@ DEFAULT_STEP_SCALE = 0.005
 #: Largest dense d^2 x d^2 Liouvillian built, in bytes.  Four nuclei (d = 48)
 #: need 85 MB per matrix; five (d = 96) would need 1.4 GB.
 MAX_LIOUVILLIAN_BYTES = 2**28
+
+#: Largest total number of RK4 steps over one run's output grid.  Beyond it
+#: the rounding error of the interval powers outgrows the truncation error.
+MAX_RK4_STEPS = 10**7
 
 
 @dataclass
@@ -194,8 +201,46 @@ def _symmetrize(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
+@dataclass
+class _Flow:
+    """Liouvillian of one generator and its RK4 powers keyed by ``(h_step, n)``."""
+
+    key: tuple
+    lv: np.ndarray
+    powers: dict = field(default_factory=dict)
+
+    def power(self, h_step: float, n_steps: int) -> np.ndarray:
+        m = self.powers.get((h_step, n_steps))
+        if m is None:
+            m = np.linalg.matrix_power(_rk4_transfer(self.lv, h_step), n_steps)
+            self.powers[(h_step, n_steps)] = m
+        return m
+
+
+#: The flow of the most recent generator (a one-entry memo).
+_last_flow: _Flow | None = None
+
+
+def _flow(h: np.ndarray, channels, dt: float) -> _Flow:
+    """The memoized flow of ``(h, channels, dt)``, rebuilt when any differs."""
+    global _last_flow
+    key = (h.shape, h.tobytes(), dt) + tuple(
+        (np.shape(ch.operator), np.asarray(ch.operator, dtype=complex).tobytes(), float(ch.rate))
+        for ch in channels
+    )
+    if _last_flow is None or _last_flow.key != key:
+        _last_flow = None
+        _last_flow = _Flow(key, _liouvillian(h, channels))
+    return _last_flow
+
+
 def evolve_lindblad(h, channels, rho0, times, dt: float | None = None) -> Trajectory:
     """Integrate the Lindblad equation with a fixed-step RK4 scheme.
+
+    Each output interval is covered by ``n`` uniform RK4 steps, applied as
+    the ``n``-th power of the one-step transfer matrix.  The state is
+    re-symmetrized at output times only; ``max_hermiticity_deviation`` is
+    the defect accumulated over an interval, read at its output time.
 
     Args:
         h: static Hermitian generator.
@@ -208,6 +253,8 @@ def evolve_lindblad(h, channels, rho0, times, dt: float | None = None) -> Trajec
 
     Raises:
         StepTooLarge: if ``dt`` exceeds ``0.02 / max(|H|, sum gamma)``.
+        StepCountExceeded: if the grid needs more than
+            :data:`MAX_RK4_STEPS` steps (checked before any build).
         DimensionMismatch: if the shapes disagree, or the dense Liouvillian
             would exceed :data:`MAX_LIOUVILLIAN_BYTES`.
         PositivityViolation: if an output state's smallest eigenvalue drops
@@ -237,46 +284,36 @@ def evolve_lindblad(h, channels, rho0, times, dt: float | None = None) -> Trajec
             f"for |H| = {norm_h:.3g}, total rate = {total_rate:.3g}"
         )
 
-    lv = _liouvillian(h, channels)
-    transfer_cache: dict[float, np.ndarray] = {}
+    spans = np.diff(times)
+    steps = np.maximum(1.0, np.ceil(spans / dt - 1e-12))
+    total_steps = float(np.sum(steps))
+    if total_steps > MAX_RK4_STEPS:
+        raise StepCountExceeded(
+            f"dt = {dt:.3g} needs {total_steps:.3g} RK4 steps over the grid, "
+            f"above the guard of {MAX_RK4_STEPS:.3g}"
+        )
 
+    flow = _flow(h, channels, dt)
     states = np.empty((times.size, dim, dim), dtype=complex)
     max_trace_dev = 0.0
     max_herm_dev = 0.0
     min_eig = np.inf
 
-    def record(i: int, rho: np.ndarray) -> None:
-        nonlocal max_trace_dev, max_herm_dev, min_eig
+    for i in range(times.size):
+        if i > 0:
+            n_steps = int(steps[i - 1])
+            m = flow.power(float(spans[i - 1]) / n_steps, n_steps)
+            raw = (m @ rho.reshape(-1)).reshape(dim, dim)
+            max_herm_dev = max(max_herm_dev, max_abs(raw - dagger(raw)))
+            rho = _symmetrize(raw)
         max_trace_dev = max(max_trace_dev, abs(float(np.real(np.trace(rho))) - 1.0))
-        eigs = np.linalg.eigvalsh(rho)
-        low = float(eigs[0])
+        low = float(np.linalg.eigvalsh(rho)[0])
         min_eig = min(min_eig, low)
         if low < POSITIVITY_ABORT:
             raise PositivityViolation(
                 f"eigenvalue {low:.3e} below {POSITIVITY_ABORT} at t = {times[i]:.6g}"
             )
         states[i] = rho
-
-    record(0, rho)
-    t_now = float(times[0])
-    rho_vec = rho.reshape(-1)
-
-    for i in range(1, times.size):
-        span = float(times[i]) - t_now
-        n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
-        h_step = span / n_steps
-        m = transfer_cache.get(h_step)
-        if m is None:
-            m = _rk4_transfer(lv, h_step)
-            transfer_cache[h_step] = m
-        for step in range(n_steps):
-            rho_vec = m @ rho_vec
-            raw = rho_vec.reshape(dim, dim)
-            if step == n_steps - 1:
-                max_herm_dev = max(max_herm_dev, max_abs(raw - dagger(raw)))
-            rho_vec = _symmetrize(raw).reshape(-1)
-        t_now = float(times[i])
-        record(i, rho_vec.reshape(dim, dim).copy())
 
     return Trajectory(
         times=times,

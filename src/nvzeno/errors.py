@@ -58,6 +58,10 @@ class StepTooLarge(NVZenoError):
     """Integrator step exceeds the stability/accuracy guard."""
 
 
+class StepCountExceeded(NVZenoError):
+    """Integration grid needs more fixed steps than the step-count guard allows."""
+
+
 class PositivityViolation(NVZenoError):
     """Density matrix developed a large negative eigenvalue."""
 

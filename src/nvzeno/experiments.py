@@ -86,6 +86,7 @@ class GateResult:
     phase is the argument of the coherent propagator matrix element onto the
     ideal output ket (reported in the rotating frame).  The superposition
     entry probes phase coherence across all four inputs at once.
+    ``diagnostics`` merges the integrator health of all five runs.
     """
 
     fidelities: dict
@@ -93,6 +94,7 @@ class GateResult:
     superposition_fidelity: float
     average_fidelity: float
     duration: float
+    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -225,6 +227,7 @@ def run_gate(params: SystemParams, superposition=None, dt: float | None = None) 
         superposition_fidelity=float(sup_fid),
         average_fidelity=float(np.mean([fids[label] for label in BASIS_LABELS])),
         duration=ctx.duration,
+        diagnostics=ctx.diagnostics,
     )
 
 
@@ -439,6 +442,9 @@ def _run_ratio_sweep(axes, fixed, dt):
     results = [run_gate(_params_from_fixed(fixed, omega=float(om)), dt=dt) for om in grid]
     avg = np.array([r.average_fidelity for r in results])
     sup = np.array([r.superposition_fidelity for r in results])
+    diagnostics: dict = {}
+    for r in results:
+        diagnostics = _merge_diagnostics(diagnostics, r.diagnostics)
     anchors = []
     near = np.abs(grid - 0.15) < 1e-9
     if np.any(near):
@@ -456,7 +462,11 @@ def _run_ratio_sweep(axes, fixed, dt):
             )
         )
     data = {"fidelity_avg": avg, "fidelity_superposition": sup}
-    return data, {"reference_anchors": anchors, "decay_channels": _channel_note(fixed)}
+    return data, {
+        "reference_anchors": anchors,
+        "decay_channels": _channel_note(fixed),
+        "integrator": diagnostics,
+    }
 
 
 def _run_detuning_population(axes, fixed, dt):

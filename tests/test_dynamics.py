@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nvzeno import dynamics
@@ -18,9 +20,10 @@ from nvzeno.errors import (
     NotHermitian,
     NotNormalized,
     PositivityViolation,
+    StepCountExceeded,
     StepTooLarge,
 )
-from nvzeno.linalg import max_abs
+from nvzeno.linalg import dagger, max_abs
 from nvzeno.model import (
     CollapseChannel,
     SystemParams,
@@ -35,6 +38,41 @@ from nvzeno.model import (
 
 def full_hamiltonian(space, omega, delta=0.0):
     return build_h_drive(space, omega, delta) + build_h_dd(space, (1.0, 1.0))
+
+
+def per_step_rk4(h, channels, rho0, times, dt):
+    """Reference integrator: one RK4 transfer per step, re-symmetrized after every step."""
+    dim = rho0.shape[0]
+    lv = dynamics._liouvillian(np.asarray(h, dtype=complex), channels)
+    rho = rho0.reshape(-1)
+    states = [rho0]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        span = float(t1) - float(t0)
+        n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
+        m = dynamics._rk4_transfer(lv, span / n_steps)
+        for _ in range(n_steps):
+            raw = (m @ rho).reshape(dim, dim)
+            rho = (0.5 * (raw + dagger(raw))).reshape(-1)
+        states.append(rho.reshape(dim, dim))
+    return np.array(states)
+
+
+#: Random open-system runs: two decay rates, a start time and 1-5 output intervals.
+open_runs = st.tuples(
+    st.floats(0.0, 0.01),
+    st.floats(0.0, 0.01),
+    st.floats(0.0, 5.0),
+    st.lists(st.floats(0.01, 3.0), min_size=1, max_size=5),
+)
+
+property_settings = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+def open_run_inputs(space, run):
+    gamma_nv, gamma_n, t0, spans = run
+    params = SystemParams(omega=0.105, gamma_nv=gamma_nv, gamma_n=gamma_n)
+    times = t0 + np.concatenate([[0.0], np.cumsum(spans)])
+    return params.hamiltonian(space), params.channels(space), times
 
 
 class TestEvolveUnitary:
@@ -153,6 +191,17 @@ class TestEvolveLindblad:
         with pytest.raises(DimensionMismatch, match="guard"):
             evolve_lindblad(full_hamiltonian(space2, 0.105), [], psi0, (0.0, 1.0))
 
+    def test_step_count_guard(self, space2, monkeypatch):
+        # a tiny dt is rejected before the Liouvillian is built
+        def no_build(*args):
+            raise AssertionError("Liouvillian built despite the step-count guard")
+
+        monkeypatch.setattr(dynamics, "_liouvillian", no_build)
+        monkeypatch.setattr(dynamics, "_last_flow", None)
+        psi0 = basis_state(space2, ("up", "down", "aux"))
+        with pytest.raises(StepCountExceeded, match="guard"):
+            evolve_lindblad(full_hamiltonian(space2, 0.105), [], psi0, (0.0, 1.0), dt=1e-12)
+
     def test_deterministic_reruns(self, space2):
         params = SystemParams(omega=0.105, gamma_nv=0.001, gamma_n=0.0)
         h = full_hamiltonian(space2, params.omega)
@@ -160,6 +209,49 @@ class TestEvolveLindblad:
         a = evolve_lindblad(h, params.channels(space2), psi0, (0.0, 5.0)).final_state
         b = evolve_lindblad(h, params.channels(space2), psi0, (0.0, 5.0)).final_state
         assert np.array_equal(a, b)
+
+
+class TestIntervalPowers:
+    @property_settings
+    @given(run=open_runs)
+    def test_matches_per_step_reference(self, space2, run):
+        h, channels, times = open_run_inputs(space2, run)
+        psi0 = basis_state(space2, ("up", "down", "aux"))
+        traj = evolve_lindblad(h, channels, psi0, times)
+        reference = per_step_rk4(h, channels, np.outer(psi0, psi0.conj()), times, traj.diagnostics["dt"])
+        assert max_abs(traj.states - reference) < 1e-10
+
+    @property_settings
+    @given(run=open_runs)
+    def test_trace_and_positivity(self, space2, run):
+        h, channels, times = open_run_inputs(space2, run)
+        psi0 = basis_state(space2, ("up", "up", "aux"))
+        traj = evolve_lindblad(h, channels, psi0, times)
+        traces = np.real(np.trace(traj.states, axis1=1, axis2=2))
+        assert np.max(np.abs(traces - 1.0)) < 1e-10
+        assert min(np.linalg.eigvalsh(rho)[0] for rho in traj.states) >= -1e-9
+        assert traj.diagnostics["min_eigenvalue"] >= -1e-9
+
+    def test_memo_hit_equals_cold_call(self, space2, monkeypatch):
+        # generator A (cold, then a hit), then B, then A again (rebuilt)
+        psi0 = basis_state(space2, ("up", "down", "aux"))
+        times = np.linspace(0.0, 6.0, 7)
+
+        def run(gamma_nv, gamma_n):
+            params = SystemParams(omega=0.105, gamma_nv=gamma_nv, gamma_n=gamma_n)
+            h, channels = params.hamiltonian(space2), params.channels(space2)
+            return evolve_lindblad(h, channels, psi0, times).states
+
+        monkeypatch.setattr(dynamics, "_last_flow", None)
+        cold = run(0.001, 0.002)
+        flow_a = dynamics._last_flow
+        hit = run(0.001, 0.002)
+        assert dynamics._last_flow is flow_a
+        other = run(0.002, 0.001)
+        assert dynamics._last_flow is not flow_a
+        again = run(0.001, 0.002)
+        assert np.array_equal(hit, cold) and np.array_equal(again, cold)
+        assert not np.array_equal(other, cold)
 
 
 class TestObservables:

@@ -68,6 +68,8 @@ class TestRunGate:
         res = run_gate(SystemParams(omega=0.105, gamma_nv=0.001, gamma_n=0.001))
         for label in BASIS_LABELS:
             assert 0.9 <= res.fidelities[label] <= 1.0 + 1e-9
+        assert res.diagnostics["max_trace_deviation"] < 1e-7
+        assert res.diagnostics["min_eigenvalue"] >= -1e-7
 
 
 class TestTruthTable:
@@ -313,6 +315,12 @@ class TestSweep:
         open_nv = sweep(SweepSpec("ratio_sweep", axes=one_ratio, fixed={"gamma_nv_over_g": 0.002}))
         assert open_nv.metadata["decay_channels"] == ["nv: up->down at rate gamma_nv"]
         assert open_nv.data["fidelity_avg"][0] < closed.data["fidelity_avg"][0]
+        # the integrator block is always emitted, with the Lindblad record when open
+        assert set(closed.metadata["integrator"]) == {"max_norm_deviation"}
+        assert set(open_nv.metadata["integrator"]) == {
+            "dt", "max_trace_deviation", "max_hermiticity_deviation", "min_eigenvalue"
+        }
+        assert open_nv.metadata["integrator"]["max_trace_deviation"] < 1e-7
         open_n = sweep(SweepSpec(
             "detuning_population",
             axes={"delta_over_omega": np.array([0.0]), "t_over_T": np.array([0.0, 1.0])},
